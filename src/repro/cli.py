@@ -482,10 +482,11 @@ def _add_compact(sub: argparse._SubParsersAction) -> None:
         help="snapshot a journaled world and truncate the journal",
         description=(
             "Recover a journal directory, checkpoint the recovered "
-            "world as a versioned snapshot (.world.npz) and truncate "
-            "the journal behind it -- future recoveries load the "
-            "snapshot and replay only the post-compaction tail.  "
-            "Prints the compaction report as JSON."
+            "world as a snapshot-<generation>/ directory (one .npy per "
+            "array plus meta.json, the format --store generations use) "
+            "and truncate the journal behind it -- future recoveries "
+            "load the snapshot and replay only the post-compaction "
+            "tail.  Prints the compaction report as JSON."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(

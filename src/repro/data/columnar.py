@@ -26,7 +26,13 @@ read-only:
   the graph (prior construction slices instead of looping);
 - a deterministic **content hash** plus ``to_arrays``/``from_arrays``
   so serving artifacts persist the compiled form and reload it with
-  zero re-indexing.
+  zero re-indexing;
+- one on-disk **checkpoint** format for a world generation
+  (:func:`write_checkpoint` / :func:`read_checkpoint`): an mmap-able
+  ``<key>.npy`` per arena plus ``meta.json``, renamed into place
+  atomically.  Journal snapshots (:mod:`repro.data.journal`) and
+  published store generations (:mod:`repro.serving.store`) are both
+  written and read through this pair.
 
 **Id maps.**  All three id spaces are dense, so the bidirectional maps
 are intentionally trivial: user id == row in the user table, location
@@ -46,8 +52,15 @@ contract.
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import json
+import os
+import shutil
+import time
 import weakref
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -477,14 +490,10 @@ class ColumnarWorld:
         not resident memory, until a consumer touches it.
 
         With ``fsync=True`` every array file is fsynced after writing
-        (the caller still owns directory-level durability -- see
-        :func:`repro.data.journal.fsync_dir`); the
-        :class:`~repro.serving.store.WorldStore` publish path uses
-        this so a generation rename can never expose half-written
-        arenas after a crash.
+        (the caller still owns directory-level durability);
+        :func:`write_checkpoint` uses this so a checkpoint rename can
+        never expose half-written arenas after a crash.
         """
-        import os
-
         os.makedirs(directory, exist_ok=True)
         for key in WORLD_ARRAY_KEYS:
             path = os.path.join(directory, f"{key}.npy")
@@ -505,8 +514,6 @@ class ColumnarWorld:
         demand).  Validation touches only array heads and extrema, so
         loading stays cheap even for worlds larger than RAM.
         """
-        import os
-
         mode = "r" if mmap else None
         arrays = {
             key: np.load(os.path.join(directory, f"{key}.npy"), mmap_mode=mode)
@@ -592,6 +599,127 @@ class ColumnarWorld:
             f"following={self.n_following}, tweeting={self.n_tweeting}, "
             f"locations={self.n_locations}, hash={self.content_hash})"
         )
+
+
+# -- world-generation checkpoints ------------------------------------------
+
+#: Version of the checkpoint directory layout (``<key>.npy`` per
+#: :data:`WORLD_ARRAY_KEYS` entry plus :data:`CHECKPOINT_META`).
+CHECKPOINT_VERSION = 1
+CHECKPOINT_META = "meta.json"
+
+
+class CheckpointError(ValueError):
+    """A checkpoint directory is of an unknown format or corrupt."""
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """A world read back from a checkpoint directory, identity restored."""
+
+    world: ColumnarWorld
+    meta: dict
+
+    @property
+    def generation(self) -> int:
+        """The checkpointed world's generation."""
+        return int(self.meta["generation"])
+
+
+def fsync_dir(directory) -> None:
+    """Make a creation or rename inside ``directory`` durable.
+
+    A filesystem that cannot fsync directories at all (``EINVAL``) is
+    tolerated; any other error (``EIO``...) reaches the caller, which
+    must not acknowledge what it just renamed.
+    """
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
+    finally:
+        os.close(fd)
+
+
+def write_checkpoint(world: ColumnarWorld, directory, **extra) -> dict:
+    """Durably write ``world`` as the checkpoint directory ``directory``.
+
+    The one on-disk format of a world generation: one ``<key>.npy``
+    per arena (:meth:`ColumnarWorld.dump_dir`, mmap-able) plus a
+    ``meta.json`` holding the format version, generation, chained
+    ``content_hash``, full-array ``world_rehash``, sizes and the
+    caller's ``extra`` keys.  Written under a temporary name with every
+    file fsynced, then renamed into place and the parent directory
+    fsynced: a crash or a disk error leaves either no ``directory`` or
+    a complete one, never a partial one.  ``directory`` must not exist
+    yet.  Returns the written metadata.
+    """
+    final = Path(directory)
+    meta = {
+        "format_version": CHECKPOINT_VERSION,
+        "generation": int(world.generation),
+        "content_hash": world.content_hash,
+        "world_rehash": world.rehash(),
+        "n_users": world.n_users,
+        "n_following": world.n_following,
+        "n_tweeting": world.n_tweeting,
+        "created_unix": time.time(),
+        **extra,
+    }
+    tmp = final.with_name(f".{final.name}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    try:
+        world.dump_dir(tmp, fsync=True)
+        with open(tmp / CHECKPOINT_META, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        fsync_dir(tmp)
+        os.rename(tmp, final)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    fsync_dir(final.parent)
+    return meta
+
+
+def read_checkpoint_meta(directory) -> dict:
+    """The ``meta.json`` of a checkpoint (``OSError``/``ValueError``)."""
+    with open(Path(directory) / CHECKPOINT_META, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_checkpoint(
+    gazetteer: Gazetteer, directory, mmap: bool = True, verify: bool = False
+) -> Checkpoint:
+    """Load a :func:`write_checkpoint` directory back into a world.
+
+    The world's ``generation`` and chained ``content_hash`` are
+    restamped from ``meta.json`` (:meth:`ColumnarWorld.load_dir` alone
+    would give generation 0 and a fresh array hash).  ``mmap=True``
+    attaches the arenas as read-only memmaps; ``mmap=False`` loads
+    private copies that delta applies may grow.  ``verify=True``
+    recomputes the full-array digest and raises
+    :class:`CheckpointError` unless it equals ``world_rehash``.
+    Missing files raise ``OSError``; unparseable ones ``ValueError``.
+    """
+    path = Path(directory)
+    meta = read_checkpoint_meta(path)
+    if meta.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint format "
+            f"{meta.get('format_version')!r}"
+        )
+    world = ColumnarWorld.load_dir(gazetteer, path, mmap=mmap)
+    if verify and world.rehash() != meta["world_rehash"]:
+        raise CheckpointError(
+            f"{path}: checkpoint arrays do not match their recorded digest"
+        )
+    world.generation = int(meta["generation"])
+    world._content_hash = meta["content_hash"]
+    return Checkpoint(world=world, meta=meta)
 
 
 # -- the compile-once memo -------------------------------------------------

@@ -14,11 +14,14 @@ ingested user.  This module makes the delta stream **durable**:
   ``kill -9``; larger values trade the tail of a crash window for
   append throughput;
 - **snapshot / compaction**: :meth:`DeltaJournal.snapshot` checkpoints
-  the compiled world (``ColumnarWorld.to_arrays``) into a versioned
-  ``snapshot-<generation>.world.npz`` (written to a temp file, fsynced,
-  atomically renamed); :meth:`DeltaJournal.compact` snapshots and then
-  truncates the journal behind it, so recovery cost is bounded by the
-  tail since the last checkpoint, not the lifetime of the stream;
+  the compiled world into a ``snapshot-<generation>/`` directory --
+  the same format a :class:`~repro.serving.store.WorldStore` publishes
+  generations in, written and read by
+  :func:`repro.data.columnar.write_checkpoint` /
+  :func:`~repro.data.columnar.read_checkpoint` (temp dir, fsynced
+  files, atomic rename); :meth:`DeltaJournal.compact` snapshots and
+  then truncates the journal behind it, so recovery cost is bounded by
+  the tail since the last checkpoint, not the lifetime of the stream;
 - **startup replay**: :func:`open_journal` loads the newest snapshot
   that *chains into* the journal (a stale or corrupt snapshot falls
   back to older ones and finally to the base world), then replays the
@@ -46,8 +49,8 @@ magic header both raise :class:`JournalError`.
 ``world.delta_log`` retains only ``DELTA_LOG_LIMIT`` records, so
 ``touched_since`` windows older than that fail loudly.  The journal
 keeps a touched-user index for every generation since its last
-snapshot (populated by :func:`append_and_apply` /
-:func:`journaled_ingest` on the write path and by replay on recovery),
+snapshot (populated by :func:`append_and_apply` on the write path and
+by replay on recovery),
 so :meth:`DeltaJournal.touched_since` answers from the durable log --
 ``score_population(..., journal=...)`` re-scores exactly the affected
 users no matter how far behind the caller fell, up to the last
@@ -59,17 +62,22 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import struct
 import threading
 import time
-import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.data.columnar import WORLD_ARRAY_KEYS, ColumnarWorld
+from repro.data.columnar import (
+    ColumnarWorld,
+    fsync_dir,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.data.delta import (
     WorldDelta,
     apply_delta,
@@ -118,7 +126,6 @@ JOURNAL_REPLAY_SECONDS = _REG.histogram(
 
 __all__ = [
     "DeltaJournal",
-    "fsync_dir",
     "JournalError",
     "JournalRecord",
     "append_and_apply",
@@ -131,7 +138,6 @@ __all__ = [
 #: (never silently truncated into one).
 JOURNAL_MAGIC = b"RPWJ0001"
 JOURNAL_FILE = "journal.wal"
-SNAPSHOT_VERSION = 1
 #: Snapshots kept after a compaction (the newest ones); older files
 #: are pruned.  Two, so one corrupt checkpoint never strands recovery
 #: on a full-journal replay alone.
@@ -146,7 +152,12 @@ MAX_RECORD_BYTES = 64 << 20
 _HEADER = struct.Struct("<II")
 _BODY_HEAD = struct.Struct("<Q16s")
 
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.world\.npz$")
+#: Snapshot entry names: ``snapshot-<generation>`` checkpoint
+#: directories, plus any other entry with that prefix (such as a
+#: pre-directory-format ``.world.npz`` file), which recovery cannot read
+#: but must not ignore.  A crash mid-snapshot leaves only a dot-prefixed
+#: temp directory, which never matches.
+_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})")
 
 
 class JournalError(ValueError):
@@ -258,31 +269,11 @@ def scan_journal(
     return records, valid_end, error
 
 
-def fsync_dir(directory: Path) -> None:
-    """Make a rename/creation in ``directory`` durable (best effort).
-
-    Public because the directory-fsync idiom is shared durability
-    machinery: the journal uses it around snapshot renames and journal
-    truncation, and the :class:`~repro.serving.store.WorldStore` uses
-    the same call when it renames a published generation into place.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
-
-
 class DeltaJournal:
     """The durable write-ahead delta log of one served world.
 
-    One directory holds ``journal.wal`` plus versioned
-    ``snapshot-<generation>.world.npz`` checkpoints.  All mutating
+    One directory holds ``journal.wal`` plus ``snapshot-<generation>``
+    checkpoint directories.  All mutating
     methods serialize on :attr:`lock` (reentrant, so the
     append-then-apply helpers can hold it across both steps).
     Construct directly for a fresh/append-only handle; go through
@@ -480,7 +471,7 @@ class DeltaJournal:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot_paths(self) -> list[Path]:
-        """Snapshot files present, newest generation first."""
+        """Snapshot entries present, newest generation first."""
         found = []
         for entry in self.directory.iterdir():
             match = _SNAPSHOT_RE.match(entry.name)
@@ -489,40 +480,28 @@ class DeltaJournal:
         return [path for _, path in sorted(found, reverse=True)]
 
     def snapshot(self, world: ColumnarWorld) -> Path:
-        """Checkpoint ``world`` as ``snapshot-<generation>.world.npz``.
+        """Checkpoint ``world`` as the directory ``snapshot-<generation>``.
 
-        Durable by construction: written to a temp file, fsynced,
-        atomically renamed, directory fsynced.  Uncompressed
-        ``np.savez`` -- recovery latency is the point of a snapshot,
-        and the journal it truncates was the space concern.
+        Durable by construction (:func:`write_checkpoint`: temp dir,
+        fsynced files, rename, parent fsync); a disk error reaches the
+        caller and leaves no snapshot directory behind.  A snapshot
+        already present at this generation is kept when it verifies as
+        this very world and replaced otherwise -- a corrupt or foreign
+        checkpoint is useless to recovery.
         """
         with self.lock:
             t0 = time.perf_counter()
-            meta = {
-                "format_version": SNAPSHOT_VERSION,
-                "generation": world.generation,
-                "content_hash": world.content_hash,
-                "world_rehash": world.rehash(),
-                "n_users": world.n_users,
-                "created_unix": time.time(),
-            }
-            name = f"snapshot-{world.generation:012d}.world.npz"
-            tmp = self.directory / (name + ".tmp")
+            path = self.directory / f"snapshot-{world.generation:012d}"
             with span("journal.snapshot"):
-                with open(tmp, "wb") as fh:
-                    np.savez(
-                        fh,
-                        meta=np.array(json.dumps(meta)),
-                        **{
-                            f"world_{key}": arr
-                            for key, arr in world.to_arrays().items()
-                        },
-                    )
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                path = self.directory / name
-                os.replace(tmp, path)
-                fsync_dir(self.directory)
+                if path.exists():
+                    try:
+                        kept = self._load_snapshot(path, world.gazetteer)
+                    except JournalError:
+                        kept = None
+                    if kept is None or kept.content_hash != world.content_hash:
+                        shutil.rmtree(path)
+                if not path.exists():
+                    write_checkpoint(world, path)
             JOURNAL_SNAPSHOT_SECONDS.observe(time.perf_counter() - t0)
             JOURNAL_SNAPSHOTS.inc()
             return path
@@ -532,8 +511,9 @@ class DeltaJournal:
 
         Crash-safe ordering: the snapshot rename lands before the
         journal reset, so a crash in between leaves snapshot + full
-        journal -- recovery skips the already-snapshotted records.
-        Old snapshots beyond :data:`SNAPSHOTS_KEPT` are pruned last.
+        journal -- recovery skips the already-snapshotted records.  A
+        failed snapshot raises before the journal is touched.  Old
+        snapshots beyond :data:`SNAPSHOTS_KEPT` are pruned last.
         """
         with self.lock:
             if world.generation != self._generation or (
@@ -561,7 +541,10 @@ class DeltaJournal:
             self._touched.clear()
             pruned = []
             for stale in self.snapshot_paths()[SNAPSHOTS_KEPT:]:
-                stale.unlink()
+                if stale.is_dir():
+                    shutil.rmtree(stale)
+                else:
+                    stale.unlink()
                 pruned.append(str(stale))
             return {
                 "snapshot": str(snapshot_path),
@@ -572,37 +555,14 @@ class DeltaJournal:
             }
 
     def _load_snapshot(self, path: Path, gazetteer) -> ColumnarWorld:
-        """Load one checkpoint; :class:`JournalError` on any corruption."""
+        """Load one checkpoint as private, growable copies (digest-checked).
+
+        :class:`JournalError` on any corruption.
+        """
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"][()]))
-                if meta.get("format_version") != SNAPSHOT_VERSION:
-                    raise JournalError(
-                        f"{path}: unsupported snapshot version "
-                        f"{meta.get('format_version')!r}"
-                    )
-                arrays = {
-                    key: data[f"world_{key}"] for key in WORLD_ARRAY_KEYS
-                }
-            world = ColumnarWorld.from_arrays(gazetteer, arrays)
-            if world.rehash() != meta["world_rehash"]:
-                raise JournalError(
-                    f"{path}: snapshot arrays do not match their recorded "
-                    "digest (corrupt checkpoint)"
-                )
-        except JournalError:
-            raise
-        except (
-            OSError,
-            KeyError,
-            ValueError,
-            zipfile.BadZipFile,
-            json.JSONDecodeError,
-        ) as exc:
+            return read_checkpoint(gazetteer, path, mmap=False, verify=True).world
+        except (OSError, KeyError, ValueError) as exc:
             raise JournalError(f"{path}: unreadable snapshot ({exc})") from exc
-        world._content_hash = meta["content_hash"]
-        world.generation = int(meta["generation"])
-        return world
 
     # -- recovery ----------------------------------------------------------
 
@@ -618,17 +578,12 @@ class DeltaJournal:
         base world; if even that cannot reach the journal's first
         record, the journal belongs to a different history (or its
         snapshot is gone) and recovery refuses rather than truncate.
+        It refuses too when a newer snapshot is unreadable and no
+        record continues past the older state: the world provably got
+        further than that state, so accepting it would roll back.
         """
-        candidates: list[tuple[ColumnarWorld, Path | None]] = []
-        for path in self.snapshot_paths():
-            try:
-                candidates.append(
-                    (self._load_snapshot(path, base_world.gazetteer), path)
-                )
-            except JournalError:
-                continue
-        candidates.append((base_world, None))
-        for world, path in candidates:
+        unreadable: list[Path] = []
+        for world, path in self._candidates(base_world, unreadable):
             tail = [r for r in live if r.generation > world.generation]
             if tail:
                 first = tail[0]
@@ -652,6 +607,12 @@ class DeltaJournal:
                         )
                     continue
             else:
+                if unreadable:
+                    raise JournalError(
+                        f"{unreadable[0].name} is unreadable and no journal "
+                        f"record continues past generation "
+                        f"{world.generation} -- snapshot missing or corrupt"
+                    )
                 overlap = [
                     r for r in live if r.generation == world.generation
                 ]
@@ -664,6 +625,20 @@ class DeltaJournal:
                     continue
             return world, path
         raise AssertionError("unreachable: base world is always a candidate")
+
+    def _candidates(self, base_world: ColumnarWorld, unreadable: list):
+        """Loadable snapshots newest first, then the base world.
+
+        Lazy -- recovery reads only as many checkpoints as it tries --
+        and appends every snapshot that fails to load to
+        ``unreadable``.
+        """
+        for path in self.snapshot_paths():
+            try:
+                yield self._load_snapshot(path, base_world.gazetteer), path
+            except JournalError:
+                unreadable.append(path)
+        yield base_world, None
 
     def recover(self, base_world: ColumnarWorld) -> tuple[ColumnarWorld, dict]:
         """Rebuild the durable world: scan, repair, pick state, replay.
@@ -763,21 +738,25 @@ def open_journal(
 
 
 def append_and_apply(
-    journal: DeltaJournal, world: ColumnarWorld, delta: WorldDelta
+    journal: DeltaJournal,
+    world: ColumnarWorld,
+    delta: WorldDelta,
+    apply=apply_delta,
 ) -> ColumnarWorld:
-    """Durable apply at the data level: validate, append, apply, index.
+    """Durable apply: validate, append, apply, index -- the one write path.
 
     Write-ahead ordering -- the record is on disk before the apply, so
     a crash between the two replays to the exact same world.  The
     delta is validated *first*: an invalid delta must never reach the
-    journal, or replay would halt on it forever.
+    journal, or replay would halt on it forever.  ``apply(world,
+    delta)`` returns the new world (:func:`apply_delta` by default).
     """
     with journal.lock:
         validate_delta(world, delta)
         generation = world.generation + 1
         world_hash = chain_hash(world.content_hash, delta.digest())
         journal.append(delta, generation, world_hash)
-        new_world = apply_delta(world, delta)
+        new_world = apply(world, delta)
         journal.note_touched(
             generation, new_world.delta_log[-1].touched_users
         )
@@ -785,22 +764,18 @@ def append_and_apply(
 
 
 def journaled_ingest(predictor, journal: DeltaJournal, delta: WorldDelta):
-    """Durable serving ingest: append-then-refresh under the journal lock.
+    """Durable serving ingest: :func:`append_and_apply` onto a predictor.
 
-    The serving twin of :func:`append_and_apply`:
-    ``predictor.refresh`` swaps the served world and invalidates
-    caches exactly as in-memory ingest does, but only after the record
-    is journaled.  All ingests of a journaled server must go through
-    here (direct ``refresh`` calls would desync the generation chain).
+    The same write-ahead sequence, with ``predictor.refresh`` as the
+    apply step: it swaps the served world and invalidates caches
+    exactly as in-memory ingest does, but only after the record is
+    journaled.  All ingests of a journaled server must go through here
+    (direct ``refresh`` calls would desync the generation chain).
     """
     with journal.lock:
-        world = predictor.world
-        validate_delta(world, delta)
-        generation = world.generation + 1
-        world_hash = chain_hash(world.content_hash, delta.digest())
-        journal.append(delta, generation, world_hash)
-        new_world = predictor.refresh(delta)
-        journal.note_touched(
-            generation, new_world.delta_log[-1].touched_users
+        return append_and_apply(
+            journal,
+            predictor.world,
+            delta,
+            apply=lambda _world, d: predictor.refresh(d),
         )
-        return new_world

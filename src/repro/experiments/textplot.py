@@ -26,16 +26,6 @@ def _transform(values: Sequence[float], log: bool) -> list[float]:
     return out
 
 
-def _scale(values: list[float], size: int) -> list[int]:
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [size // 2 for _ in values]
-    return [
-        min(size - 1, int(round((v - lo) / (hi - lo) * (size - 1))))
-        for v in values
-    ]
-
-
 def scatter(
     x: Sequence[float],
     y: Sequence[float],

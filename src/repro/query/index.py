@@ -113,7 +113,10 @@ class PredictionIndex:
         """Score the full unlabeled population and project it.
 
         The expensive path (one ``score_population`` sweep); steady
-        state should go through :meth:`refreshed` instead.
+        state should go through :meth:`refreshed` instead.  The index
+        is scored against, and stamped with, the one world read from
+        the predictor here: an ingest landing mid-build moves the
+        predictor on, and the next refresh catches up with it.
         """
         from repro.serving.batch import score_population
 

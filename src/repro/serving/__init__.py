@@ -18,7 +18,7 @@ process-lifetime object into a served product:
   profile / explain-edge / ingest;
 - :mod:`repro.serving.store` -- the generation-versioned
   :class:`WorldStore`: a single writer publishes each world as
-  mmap-backed read-only arenas, readers acquire/release generations
+  mmap-backed read-only arenas, readers acquire generations
   RCU-style;
 - :mod:`repro.serving.workers` / :mod:`repro.serving.frontend` -- the
   multi-process topology (``repro serve --workers N``): forked
@@ -64,7 +64,7 @@ from repro.serving.foldin import (
     prediction_payload,
 )
 from repro.serving.server import ServingServer, make_server
-from repro.serving.store import StoreError, WorldLease, WorldStore
+from repro.serving.store import StoreError, WorldStore
 
 __all__ = [
     "ARTIFACT_SUFFIX",
@@ -78,7 +78,6 @@ __all__ = [
     "ServingServer",
     "StoreError",
     "UserSpec",
-    "WorldLease",
     "WorldStore",
     "artifact_metadata",
     "load_result",

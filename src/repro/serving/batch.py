@@ -63,6 +63,7 @@ from repro.data.columnar import (
     compile_world,
     expand_csr,
 )
+from repro.data.delta import chain_hash
 from repro.obs.trace import span
 from repro.serving.foldin import (
     ITERATIONS_TOTAL,
@@ -568,6 +569,24 @@ class BatchFoldInEngine:
         )
 
 
+def _in_lineage(world, served) -> bool:
+    """Whether ``served`` is ``world`` or grew from it by logged deltas.
+
+    Chains the digests of ``served.delta_log`` forward from ``world``'s
+    hash: a caller scoring the world it snapshotted is recognised even
+    when ingest has since moved the predictor on a few generations.
+    """
+    if world is served or world.content_hash == served.content_hash:
+        return True
+    newer = [r for r in served.delta_log if r.generation > world.generation]
+    if len(newer) != served.generation - world.generation:
+        return False
+    digest = world.content_hash
+    for record in newer:
+        digest = chain_hash(digest, record.digest)
+    return digest == served.content_hash
+
+
 def score_population(
     world,
     result,
@@ -611,28 +630,24 @@ def score_population(
         # delta-grown world, pass the refreshed predictor (or build
         # one with ``FoldInPredictor(result, world=grown)``).
         predictor = FoldInPredictor(result)
-    if world.n_users != predictor.world.n_users:
-        raise ValueError(
-            f"world has {world.n_users} users but the predictor serves "
-            f"{predictor.world.n_users}"
-        )
-    if (
-        world is not predictor.world
-        and world.content_hash != predictor.world.content_hash
+    served = predictor.world
+    if not _in_lineage(world, served):
+        if world.n_users != served.n_users:
+            raise ValueError(
+                f"world has {world.n_users} users but the predictor "
+                f"serves {served.n_users}"
+            )
         # Chained ingest hashes encode a *history*, so two worlds with
         # identical arrays but different provenance (N deltas vs. a
-        # from-scratch recompile) disagree above; the array-level
-        # rehash settles it before we reject.
-        and world.rehash() != predictor.world.rehash()
-    ):
-        # Same size but different edges/labels: the specs below replay
-        # the predictor world's evidence, so scoring a different world
-        # with them would silently produce stale profiles.
-        raise ValueError(
-            "world content does not match the world the predictor "
-            f"serves ({world.content_hash} != "
-            f"{predictor.world.content_hash})"
-        )
+        # from-scratch recompile) differ in hash; the array-level
+        # rehash settles it before we reject.  Same size but different
+        # edges/labels is a world this posterior never served:
+        # scoring it would silently produce wrong profiles.
+        if world.rehash() != served.rehash():
+            raise ValueError(
+                "world content does not match the world the predictor "
+                f"serves ({world.content_hash} != {served.content_hash})"
+            )
     unlabeled = np.flatnonzero(~world.labeled_mask)
     if since_generation is not None:
         if journal is not None:
@@ -642,10 +657,16 @@ def score_population(
 
             affected = touched_since(world, since_generation)
         unlabeled = np.intersect1d(unlabeled, affected, assume_unique=True)
+    # Specs and solves both read ``world``, never ``predictor.world``:
+    # an ingest landing mid-call moves the predictor on, not the
+    # generation this call scores.
     specs = [
-        predictor.spec_for_training_user(int(uid)) for uid in unlabeled
+        predictor.spec_for_training_user(int(uid), world=world)
+        for uid in unlabeled
     ]
-    predictions = predictor.predict_batch(specs, use_cache=use_cache)
+    predictions = predictor.predict_batch(
+        specs, use_cache=use_cache, world=world
+    )
     return {
         int(uid): prediction
         for uid, prediction in zip(unlabeled, predictions)

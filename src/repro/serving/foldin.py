@@ -405,13 +405,14 @@ class FoldInPredictor:
 
     # -- spec construction -------------------------------------------------
 
-    def spec_for_training_user(self, user_id: int) -> UserSpec:
+    def spec_for_training_user(self, user_id: int, world=None) -> UserSpec:
         """The spec replaying a known user's exact world evidence.
 
         Covers ingested users too: a user added by a delta replays the
-        friends/followers/venues the delta gave them.
+        friends/followers/venues the delta gave them.  ``world``
+        defaults to the served world.
         """
-        world = self.world
+        world = self.world if world is None else world
         if not 0 <= user_id < world.n_users:
             raise ValueError(f"user {user_id} not in the served world")
         observed = int(world.observed_location[user_id])
@@ -731,7 +732,10 @@ class FoldInPredictor:
         return prediction
 
     def predict_batch(
-        self, specs: list[UserSpec] | tuple[UserSpec, ...], use_cache: bool = True
+        self,
+        specs: list[UserSpec] | tuple[UserSpec, ...],
+        use_cache: bool = True,
+        world=None,
     ) -> list[FoldInPrediction]:
         """Score many users through one call.
 
@@ -746,7 +750,14 @@ class FoldInPredictor:
         a spec solved earlier in the same batch report
         ``from_cache=True`` exactly as they would under sequential
         ``predict`` calls.
+
+        ``world`` pins the evidence world the solves run against
+        (default: the served world when solving starts).  A world other
+        than the served one bypasses the cache, whose entries describe
+        the served world.
         """
+        if world is not None and world is not self.world:
+            use_cache = False
         specs = list(specs)
         if not specs:
             return []
@@ -763,7 +774,7 @@ class FoldInPredictor:
         miss_indices = [i for i in unique_indices if keys[i] not in cached]
         rendered: dict[tuple[str, str], FoldInPrediction] = {}
         if miss_indices:
-            world = self.world
+            world = self.world if world is None else world
             to_solve = [specs[i] for i in miss_indices]
             if len(to_solve) >= self.batch_threshold:
                 solutions = self.batch_engine.solve(to_solve, world)

@@ -8,39 +8,33 @@ ad-hoc RCU.  :class:`WorldStore` formalizes that protocol across
 process boundaries:
 
 - **publish** (writer side): each :class:`~repro.data.columnar
-  .ColumnarWorld` generation is dumped as read-only ``.npy`` arenas
-  into its own ``gen-<generation>`` directory
-  (:meth:`ColumnarWorld.dump_dir`, fsynced), together with a
-  ``meta.json`` naming the generation, the chained content hash, the
-  full-array digest and the delta's ``label_users`` (the cache
-  invalidation set readers need).  The directory is written under a
-  temporary name and **renamed** into place, then the ``CURRENT``
-  manifest is atomically replaced -- a reader can observe the old
-  generation or the new one, never a half-published directory;
-- **acquire / release** (reader side): :meth:`acquire` resolves
-  ``CURRENT`` and memory-maps the named generation
-  (:meth:`ColumnarWorld.load_dir` with ``mmap=True``): attaching costs
-  page-table entries, not copies, and N workers share one page cache
-  image of the arenas.  The returned :class:`WorldLease` pins the
-  generation against in-process retirement until released;
-- **retire** (grace period): old generations are unlinked only once
-  they fall behind the newest ``retain`` *and* hold no in-process
-  lease.  Cross-process readers that raced a retirement are safe
-  twice over: POSIX keeps unlinked-but-mapped files readable, and
-  :meth:`acquire` retries through ``CURRENT`` when the directory it
-  resolved has vanished.
+  .ColumnarWorld` generation is written as a checkpoint directory
+  ``gen-<generation>`` by :func:`repro.data.columnar.write_checkpoint`
+  -- the same format the journal's snapshots use: read-only ``.npy``
+  arenas plus a ``meta.json`` naming the generation, the chained
+  content hash, the full-array digest and, as the store's extra, the
+  delta's ``label_users`` (the cache invalidation set readers need).
+  The checkpoint lands under a temporary name and is **renamed** into
+  place, then the ``CURRENT`` manifest is atomically replaced -- a
+  reader can observe the old generation or the new one, never a
+  half-published directory;
+- **acquire** (reader side): :meth:`acquire` resolves ``CURRENT`` and
+  memory-maps the named generation
+  (:func:`~repro.data.columnar.read_checkpoint` with ``mmap=True``):
+  attaching costs page-table entries, not copies, and N workers share
+  one page cache image of the arenas;
+- **retire**: generations behind the newest :data:`RETAIN` are
+  unlinked by the writer.  Readers in other processes that raced a
+  retirement are safe twice over: POSIX keeps unlinked-but-mapped
+  files readable, and :meth:`acquire` retries through ``CURRENT`` when
+  the directory it resolved has vanished.
 
 **Single-writer discipline.**  :meth:`lock_writer` takes an exclusive
 ``flock`` on ``writer.lock``; a second would-be writer fails loudly
 instead of silently interleaving generations.  Readers never lock
 anything -- generation swap is wait-free on their side, exactly the
-RCU shape the serving front end needs.
-
-The on-disk layout deliberately reuses the persistence machinery that
-already existed: :meth:`dump_dir`/:meth:`load_dir` for the arenas
-(PR 8) and the journal's atomic write-fsync-rename idiom
-(:func:`repro.data.journal.fsync_dir`) for publication, so a store
-directory is just "a snapshot per generation plus a pointer".
+RCU shape the serving front end needs.  A store directory is just "a
+checkpoint per generation plus a pointer".
 """
 
 from __future__ import annotations
@@ -51,11 +45,17 @@ import re
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.data.columnar import ColumnarWorld
-from repro.data.journal import fsync_dir
+from repro.data.columnar import (
+    Checkpoint,
+    CheckpointError,
+    ColumnarWorld,
+    fsync_dir,
+    read_checkpoint,
+    read_checkpoint_meta,
+    write_checkpoint,
+)
 from repro.obs import metrics as obs_metrics
 
 _REG = obs_metrics.get_registry()
@@ -79,62 +79,27 @@ STORE_RETIRED = _REG.counter(
 #: ``CURRENT`` names the generation readers should attach; replaced
 #: atomically on every publish.
 MANIFEST_FILE = "CURRENT"
-META_FILE = "meta.json"
 WRITER_LOCK_FILE = "writer.lock"
 _GEN_RE = re.compile(r"^gen-(\d{12})$")
 
-#: Generations kept on disk behind the current one.  A reader that is
+#: Generations kept on disk (the newest ones).  A reader more than
 #: this many publishes behind re-acquires through ``CURRENT`` instead
-#: of finding its directory; in-process leases extend retention past
-#: this floor.
-DEFAULT_RETAIN = 4
+#: of finding its directory.
+RETAIN = 4
 
 
 class StoreError(RuntimeError):
     """The store cannot publish or attach safely."""
 
 
-@dataclass
-class WorldLease:
-    """One reader's pin on a published generation.
-
-    Holds the mmap-attached world plus the publication metadata;
-    release through :meth:`WorldStore.release` (or ``lease.release()``)
-    when swapping to a newer generation so retirement can reclaim the
-    directory.
-    """
-
-    world: ColumnarWorld
-    generation: int
-    content_hash: str
-    meta: dict
-    path: Path
-    _store: "WorldStore" = field(repr=False)
-    _released: bool = field(default=False, repr=False)
-
-    def release(self) -> None:
-        """Release the reader lease."""
-        self._store.release(self)
-
-
 class WorldStore:
     """A generation-versioned, single-writer, many-reader world plane."""
 
-    def __init__(
-        self,
-        directory: str | Path,
-        gazetteer,
-        retain: int = DEFAULT_RETAIN,
-    ):
-        if retain < 1:
-            raise ValueError(f"retain must be >= 1, got {retain}")
+    def __init__(self, directory: str | Path, gazetteer):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.gazetteer = gazetteer
-        self.retain = int(retain)
         self._lock = threading.Lock()
-        #: generation -> number of live in-process leases.
-        self._leases: dict[int, int] = {}
         #: (st_ino, st_mtime_ns, st_size) -> parsed manifest, so the
         #: readers' between-requests poll is a stat, not a read+parse.
         self._manifest_stat: tuple | None = None
@@ -180,10 +145,11 @@ class WorldStore:
     ) -> dict:
         """Publish one world generation; returns the new manifest.
 
-        Atomic by rename: the arenas and ``meta.json`` land in a
-        temporary directory first (every file fsynced), which is then
-        renamed to ``gen-<generation>`` and pointed to by an
-        atomically-replaced ``CURRENT``.  Re-publishing the generation
+        Atomic by rename: :func:`write_checkpoint` lands the arenas and
+        ``meta.json`` as ``gen-<generation>`` (every file fsynced), and
+        an atomically-replaced ``CURRENT`` then points to it.  A disk
+        error reaches the caller with ``CURRENT`` untouched and no
+        partial directory visible.  Re-publishing the generation
         already current (same content hash -- e.g. a writer restarting
         after journal recovery) is an idempotent no-op; publishing a
         *different* world under an existing generation number is a
@@ -199,45 +165,24 @@ class WorldStore:
         generation = int(world.generation)
         name = f"gen-{generation:012d}"
         final = self.directory / name
-        meta = {
-            "generation": generation,
-            "content_hash": world.content_hash,
-            "world_rehash": world.rehash(),
-            "n_users": world.n_users,
-            "n_following": world.n_following,
-            "n_tweeting": world.n_tweeting,
-            "label_users": [int(u) for u in label_users],
-            "created_unix": time.time(),
-        }
         if final.exists():
             existing = self._read_meta(final)
             if (
                 existing is not None
-                and existing.get("content_hash") == meta["content_hash"]
+                and existing.get("content_hash") == world.content_hash
             ):
                 # Idempotent re-publish (writer restart): just make
                 # sure CURRENT points here.
-                self._write_manifest(generation, name, meta)
+                self._write_manifest(generation, name, existing)
                 return self.current_manifest()
             raise StoreError(
                 f"{final}: generation {generation} already published "
                 "with different content -- refusing to overwrite "
                 "(two writers? out-of-order generations?)"
             )
-        tmp = self.directory / f".{name}.tmp-{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        try:
-            world.dump_dir(tmp, fsync=True)
-            with open(tmp / META_FILE, "w", encoding="utf-8") as fh:
-                json.dump(meta, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.rename(tmp, final)
-            fsync_dir(self.directory)
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
+        meta = write_checkpoint(
+            world, final, label_users=[int(u) for u in label_users]
+        )
         self._write_manifest(generation, name, meta)
         self._retire_old()
         STORE_PUBLISH_SECONDS.observe(time.perf_counter() - t0)
@@ -288,8 +233,8 @@ class WorldStore:
         manifest = self.current_manifest()
         return None if manifest is None else int(manifest["generation"])
 
-    def acquire(self, verify: bool = False) -> WorldLease:
-        """Attach the current generation by mmap and lease it.
+    def acquire(self, verify: bool = False) -> Checkpoint:
+        """Attach the current generation by mmap.
 
         Zero-copy: every arena is a read-only ``np.memmap`` view onto
         the published ``.npy`` files, so N readers share one page-cache
@@ -301,7 +246,7 @@ class WorldStore:
 
         Retries through ``CURRENT`` when the resolved directory was
         retired between the manifest read and the attach (a reader
-        ``retain`` publishes behind).
+        :data:`RETAIN` publishes behind).
         """
         last_error: Exception | None = None
         for _ in range(8):
@@ -310,58 +255,28 @@ class WorldStore:
                 raise StoreError(
                     f"{self.directory}: store has no published generation"
                 )
-            path = self.directory / manifest["path"]
             try:
-                meta = self._read_meta(path)
-                if meta is None:
-                    raise FileNotFoundError(path / META_FILE)
-                world = ColumnarWorld.load_dir(
-                    self.gazetteer, path, mmap=True
+                checkpoint = read_checkpoint(
+                    self.gazetteer,
+                    self.directory / manifest["path"],
+                    mmap=True,
+                    verify=verify,
                 )
-            except (FileNotFoundError, OSError, ValueError) as exc:
+            except CheckpointError as exc:
+                raise StoreError(str(exc)) from exc
+            except (OSError, ValueError) as exc:
                 # Lost the race against retirement (or a torn replace
                 # on an exotic filesystem): resolve CURRENT again.
                 last_error = exc
                 self._drop_manifest_cache()
                 time.sleep(0.005)
                 continue
-            world.generation = int(meta["generation"])
-            world._content_hash = meta["content_hash"]
-            if verify and world.rehash() != meta["world_rehash"]:
-                raise StoreError(
-                    f"{path}: published arenas do not match their "
-                    "recorded digest (half-published generation?)"
-                )
-            generation = int(meta["generation"])
-            with self._lock:
-                self._leases[generation] = (
-                    self._leases.get(generation, 0) + 1
-                )
             STORE_ACQUIRES.inc()
-            return WorldLease(
-                world=world,
-                generation=generation,
-                content_hash=meta["content_hash"],
-                meta=meta,
-                path=path,
-                _store=self,
-            )
+            return checkpoint
         raise StoreError(
             f"{self.directory}: could not attach a generation "
             f"(kept losing the retirement race: {last_error})"
         )
-
-    def release(self, lease: WorldLease) -> None:
-        """Return a lease; the generation becomes retireable again."""
-        with self._lock:
-            if lease._released:
-                return
-            lease._released = True
-            count = self._leases.get(lease.generation, 0) - 1
-            if count <= 0:
-                self._leases.pop(lease.generation, None)
-            else:
-                self._leases[lease.generation] = count
 
     def _drop_manifest_cache(self) -> None:
         with self._lock:
@@ -372,10 +287,8 @@ class WorldStore:
 
     def _read_meta(self, gen_dir: Path) -> dict | None:
         try:
-            return json.loads(
-                (gen_dir / META_FILE).read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError):
+            return read_checkpoint_meta(gen_dir)
+        except (OSError, ValueError):
             return None
 
     def meta_for(self, generation: int) -> dict | None:
@@ -412,37 +325,25 @@ class WorldStore:
     def stats(self) -> dict:
         """Store observability for ``/healthz``."""
         manifest = self.current_manifest()
-        with self._lock:
-            leased = {gen: n for gen, n in self._leases.items()}
         return {
             "directory": str(self.directory),
             "generation": (
                 None if manifest is None else int(manifest["generation"])
             ),
-            "retain": self.retain,
+            "retain": RETAIN,
             "on_disk": self.generations_on_disk(),
-            "leased": leased,
         }
 
     # -- retention ---------------------------------------------------------
 
     def _retire_old(self) -> None:
-        """Unlink generations behind the retention window.
+        """Unlink generations behind the newest :data:`RETAIN`.
 
-        A generation survives while it is one of the newest
-        ``retain`` or holds an in-process lease.  Cross-process
-        readers past the window are covered by the acquire retry (and
-        by POSIX unlink semantics for already-mapped arenas).
+        Readers in other processes past the window are covered by the
+        acquire retry (and by POSIX unlink semantics for
+        already-mapped arenas).
         """
-        generations = self.generations_on_disk()
-        if len(generations) <= self.retain:
-            return
-        keep = set(generations[-self.retain :])
-        with self._lock:
-            keep.update(gen for gen, n in self._leases.items() if n > 0)
-        for generation in generations:
-            if generation in keep:
-                continue
+        for generation in self.generations_on_disk()[:-RETAIN]:
             shutil.rmtree(
                 self.directory / f"gen-{generation:012d}",
                 ignore_errors=True,
@@ -450,5 +351,5 @@ class WorldStore:
             STORE_RETIRED.inc()
 
     def close(self) -> None:
-        """Detach from the store and release held leases."""
+        """Release the writer lock, if held."""
         self.unlock_writer()

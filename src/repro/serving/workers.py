@@ -75,32 +75,32 @@ class WorkerDied(RuntimeError):
     """The worker did not answer (killed, crashed, or hung past timeout)."""
 
 
-def sync_generation(predictor: FoldInPredictor, store: WorldStore, lease):
-    """Adopt the newest published generation; returns the live lease.
+def sync_generation(predictor: FoldInPredictor, store: WorldStore, current):
+    """Adopt the newest published generation; returns the attached one.
 
-    The reader half of the RCU protocol, run between micro-batches so a
-    batch is always served against one coherent generation.  Skipping
-    several generations at once invalidates the union of their
-    ``label_users`` (surgical, same policy as single-process
-    ``refresh``); if any skipped generation's metadata was already
-    retired, provenance is unknown and the whole prediction cache is
-    dropped instead.  Cheap in steady state: one ``stat`` on the store
-    manifest.
+    ``current`` is the :class:`~repro.data.columnar.Checkpoint` the
+    worker serves; it comes back unchanged (the same object) while no
+    newer generation is published.  The reader half of the RCU
+    protocol, run between micro-batches so a batch is always served
+    against one coherent generation.  Skipping several generations at
+    once invalidates the union of their ``label_users`` (surgical, same
+    policy as single-process ``refresh``); if any skipped generation's
+    metadata was already retired, provenance is unknown and the whole
+    prediction cache is dropped instead.  Cheap in steady state: one
+    ``stat`` on the store manifest.
     """
-    current = store.current_generation()
-    if current is None or current == lease.generation:
-        return lease
-    new_lease = store.acquire()
-    if new_lease.generation == lease.generation:
-        new_lease.release()
-        return lease
+    generation = store.current_generation()
+    if generation is None or generation == current.generation:
+        return current
+    latest = store.acquire()
+    if latest.generation == current.generation:
+        return current
     invalidate = store.label_users_between(
-        lease.generation, new_lease.generation
+        current.generation, latest.generation
     )
-    predictor.attach_world(new_lease.world, invalidate_users=invalidate)
-    lease.release()
+    predictor.attach_world(latest.world, invalidate_users=invalidate)
     WORKER_GENERATION_SWAPS.inc()
-    return new_lease
+    return latest
 
 
 def serve_predict_requests(
@@ -193,8 +193,8 @@ def worker_main(
     """
     if parent_conn is not None:
         parent_conn.close()
-    lease = store.acquire()
-    predictor.attach_world(lease.world, invalidate_users=())
+    attached = store.acquire()
+    predictor.attach_world(attached.world, invalidate_users=())
     while True:
         try:
             message = conn.recv()
@@ -208,7 +208,7 @@ def worker_main(
                 pass
             break
         try:
-            lease = sync_generation(predictor, store, lease)
+            attached = sync_generation(predictor, store, attached)
             if kind == "predict":
                 results = serve_predict_requests(
                     predictor, message.get("requests", [])
@@ -217,7 +217,7 @@ def worker_main(
                     "ok": True,
                     "worker": worker_id,
                     "pid": os.getpid(),
-                    "generation": lease.generation,
+                    "generation": attached.generation,
                     "world_hash": predictor.world.content_hash,
                     "solves": predictor.solve_count,
                     "results": results,
@@ -227,7 +227,7 @@ def worker_main(
                     "ok": True,
                     "worker": worker_id,
                     "pid": os.getpid(),
-                    "generation": lease.generation,
+                    "generation": attached.generation,
                     "solves": predictor.solve_count,
                 }
             else:

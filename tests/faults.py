@@ -1,15 +1,18 @@
 """Fault-injection helpers for the crash-recovery test harness.
 
 Small, reusable corruption primitives over a journal directory --
-torn writes (truncate mid-record), bit flips, duplicated tails -- plus
-the golden-world comparators the recovery tests assert with: a
-from-scratch recompile of a delta prefix and a bit-for-bit world
-equality check.  Kept out of the test modules so the property-based
-suite and the CLI round-trip tests can share one vocabulary of faults.
+torn writes (truncate mid-record), bit flips, duplicated tails -- and
+disk errors (``ENOSPC``/``EIO`` raised by the n-th write or fsync of
+the checkpoint writer), plus the golden-world comparators the recovery
+tests assert with: a from-scratch recompile of a delta prefix and a
+bit-for-bit world equality check.  Kept out of the test modules so the
+property-based suite and the CLI round-trip tests can share one
+vocabulary of faults.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,31 @@ def duplicate_tail(directory) -> None:
     data = path.read_bytes()
     with open(path, "ab") as fh:
         fh.write(data[start:end])
+
+
+def fail_disk(monkeypatch, op: str, error: int, at: int = 1) -> list:
+    """Make the ``at``-th checkpoint ``write`` or ``fsync`` raise ``error``.
+
+    ``write`` fails an arena write (``np.save`` inside
+    :meth:`ColumnarWorld.dump_dir`), ``fsync`` an ``os.fsync`` call --
+    file or directory.  Earlier calls go through, so a fault can land
+    mid-checkpoint.  Returns the list of raised errors (empty if the
+    fault never fired).
+    """
+    target, name = {"write": (np, "save"), "fsync": (os, "fsync")}[op]
+    real = getattr(target, name)
+    calls = [0]
+    raised: list[OSError] = []
+
+    def faulty(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == at:
+            raised.append(OSError(error, os.strerror(error)))
+            raise raised[-1]
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, faulty)
+    return raised
 
 
 # -- golden comparators ------------------------------------------------------

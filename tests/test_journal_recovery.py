@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -339,9 +340,10 @@ class TestSnapshots:
         journal.close()
         # Corrupt the checkpoint: recovery must reject it on the
         # recorded digest and replay the whole journal from base.
-        data = bytearray(snap.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        snap.write_bytes(bytes(data))
+        arena = snap / "edge_dst.npy"
+        data = bytearray(arena.read_bytes())
+        data[-1] ^= 0xFF
+        arena.write_bytes(bytes(data))
 
         recovered, journal2, report = open_journal(tmp_path, base_world)
         journal2.close()
@@ -361,9 +363,52 @@ class TestSnapshots:
         world = append_and_apply(journal, world, random_delta(world, rng))
         journal.close()
         for snap in DeltaJournal(tmp_path).snapshot_paths():
-            snap.unlink()
+            shutil.rmtree(snap)
         with pytest.raises(JournalError, match="snapshot missing or corrupt"):
             open_journal(tmp_path, base_world)
+
+    @pytest.mark.parametrize("tail", [1, 0], ids=["tail", "empty"])
+    def test_legacy_npz_snapshot_refuses(self, base_world, tmp_path, tail):
+        """Snapshots were once single ``.world.npz`` files; nothing reads
+        them now, so a journal compacted behind one refuses to recover
+        -- with or without a tail -- rather than roll back silently."""
+        world, _deltas, journal = build_journal(tmp_path, base_world, n=3)
+        journal.compact(world)
+        rng = np.random.default_rng(8)
+        for _ in range(tail):
+            world = append_and_apply(journal, world, random_delta(world, rng))
+        journal.close()
+        (snap,) = DeltaJournal(tmp_path).snapshot_paths()
+        shutil.rmtree(snap)
+        np.savez(
+            tmp_path / f"{snap.name}.world.npz",
+            meta=np.array("{}"),
+            **{f"world_{k}": v for k, v in world.to_arrays().items()},
+        )
+        with pytest.raises(JournalError, match="snapshot missing or corrupt"):
+            open_journal(tmp_path, base_world)
+
+    def test_stray_temp_dir_from_a_crashed_snapshot_is_ignored(
+        self, base_world, tmp_path
+    ):
+        world, deltas, journal = build_journal(tmp_path, base_world, n=3)
+        journal.compact(world)
+        rng = np.random.default_rng(9)
+        tail = random_delta(world, rng)
+        world = append_and_apply(journal, world, tail)
+        journal.close()
+        # A crash mid-snapshot at generation 4: half the arenas written,
+        # never renamed into place.
+        stray = tmp_path / ".snapshot-000000000004.tmp-999"
+        world.dump_dir(stray)
+        (stray / "edge_src.npy").unlink()
+        recovered, journal2, report = open_journal(tmp_path, base_world)
+        journal2.close()
+        assert report["snapshot_generation"] == 3
+        assert recovered.content_hash == world.content_hash
+        assert_worlds_identical(
+            recovered, recompiled(base_world, deltas + [tail])
+        )
 
     def test_compaction_bounds_replay_and_prunes_snapshots(
         self, base_world, tmp_path

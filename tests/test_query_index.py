@@ -187,6 +187,87 @@ class TestRefresh:
             index.refreshed(predictor)
 
 
+def _race_delta(rng, predictor, arrivals: bool) -> WorldDelta:
+    """A delta with new users, or one touching only existing users."""
+    if arrivals:
+        return _random_delta(rng, predictor)
+    src = rng.integers(0, predictor.world.n_users, 4)
+    return WorldDelta(
+        edges=[(int(s), int((s + 1) % predictor.world.n_users)) for s in src],
+        tweets=[(int(src[0]), 0)],
+    )
+
+
+def _built_at(result, deltas) -> PredictionIndex:
+    """A fresh full build over a predictor replaying ``deltas``."""
+    reference = FoldInPredictor(result, artifact_id="query-test")
+    for delta in deltas:
+        reference.refresh(delta)
+    return PredictionIndex.build(reference)
+
+
+@pytest.mark.parametrize("arrivals", [True, False], ids=["arrivals", "edges"])
+class TestIngestDuringIndexing:
+    """An ingest landing after the index read ``predictor.world`` but
+    before scoring finished: the answer must come from the generation
+    the index is stamped with, equal to a fresh full build there, and
+    the next answer must refresh past the late delta."""
+
+    def _check(self, service, predictor, result, deltas, late):
+        payload = service.answer("/query/aggregate", "")
+        assert predictor.world.generation == len(deltas) + 1  # it raced
+        assert payload["generation"] == len(deltas)
+        assert service._index.same_projection(
+            _built_at(result, deltas)
+        )
+        caught_up = service.answer("/query/aggregate", "")
+        assert caught_up["generation"] == len(deltas) + 1
+        assert service._index.same_projection(
+            _built_at(result, deltas + [late])
+        )
+
+    def test_ingest_during_refresh(
+        self, predictor, result, monkeypatch, arrivals
+    ):
+        import repro.data.delta as delta_mod
+
+        rng = np.random.default_rng(21)
+        service = QueryService(predictor)
+        service.answer("/query/aggregate", "")
+        first = _race_delta(rng, predictor, arrivals)
+        predictor.refresh(first)
+        late = _race_delta(rng, predictor, arrivals)
+        real = delta_mod.touched_since
+        fired = []
+
+        def racing(world, since_generation):
+            if not fired:
+                fired.append(predictor.refresh(late))
+            return real(world, since_generation)
+
+        monkeypatch.setattr(delta_mod, "touched_since", racing)
+        self._check(service, predictor, result, [first], late)
+
+    def test_ingest_during_initial_build(
+        self, predictor, result, monkeypatch, arrivals
+    ):
+        import repro.serving.batch as batch_mod
+
+        rng = np.random.default_rng(22)
+        service = QueryService(predictor)
+        late = _race_delta(rng, predictor, arrivals)
+        real = batch_mod.compile_world
+        fired = []
+
+        def racing(world):
+            if not fired:
+                fired.append(predictor.refresh(late))
+            return real(world)
+
+        monkeypatch.setattr(batch_mod, "compile_world", racing)
+        self._check(service, predictor, result, [], late)
+
+
 class TestQueryService:
     def test_lazy_build_then_incremental_refresh(self, predictor):
         service = QueryService(predictor)

@@ -9,6 +9,7 @@ import pytest
 from repro.data.columnar import WORLD_ARRAY_KEYS, compile_world
 from repro.data.delta import WorldDelta, apply_delta
 from repro.data.generator import SyntheticWorldConfig, generate_world
+from repro.serving import store as store_mod
 from repro.serving.store import StoreError, WorldStore
 
 
@@ -45,29 +46,22 @@ class TestPublishAcquire:
     def test_round_trip_is_bit_identical(self, base_world, tmp_path):
         store = WorldStore(tmp_path, base_world.gazetteer)
         store.publish(base_world)
-        lease = store.acquire(verify=True)
-        try:
-            assert lease.generation == base_world.generation
-            assert lease.content_hash == base_world.content_hash
-            for key in WORLD_ARRAY_KEYS:
-                original = getattr(base_world, key)
-                loaded = getattr(lease.world, key)
-                assert original.dtype == loaded.dtype
-                assert np.array_equal(original, loaded)
-        finally:
-            lease.release()
+        attached = store.acquire(verify=True)
+        assert attached.generation == base_world.generation
+        assert attached.world.content_hash == base_world.content_hash
+        for key in WORLD_ARRAY_KEYS:
+            original = getattr(base_world, key)
+            loaded = getattr(attached.world, key)
+            assert original.dtype == loaded.dtype
+            assert np.array_equal(original, loaded)
 
     def test_acquired_arenas_are_readonly_mmaps(self, base_world, tmp_path):
         store = WorldStore(tmp_path, base_world.gazetteer)
         store.publish(base_world)
-        lease = store.acquire()
-        try:
-            arena = lease.world.observed_location
-            assert isinstance(arena, np.memmap)
-            with pytest.raises(ValueError):
-                arena[0] = 99
-        finally:
-            lease.release()
+        arena = store.acquire().world.observed_location
+        assert isinstance(arena, np.memmap)
+        with pytest.raises(ValueError):
+            arena[0] = 99
 
     def test_world_identity_restamped_from_meta(self, base_world, tmp_path):
         # load_dir gives generation 0 / a fresh hash; the store must
@@ -76,12 +70,9 @@ class TestPublishAcquire:
         delta = _delta(base_world.gazetteer, seed=1)
         world1 = apply_delta(base_world, delta)
         store.publish(world1, label_users=delta.label_users.tolist())
-        lease = store.acquire()
-        try:
-            assert lease.world.generation == world1.generation == 1
-            assert lease.world.content_hash == world1.content_hash
-        finally:
-            lease.release()
+        attached = store.acquire()
+        assert attached.world.generation == world1.generation == 1
+        assert attached.world.content_hash == world1.content_hash
 
     def test_republish_same_content_is_idempotent(self, base_world, tmp_path):
         store = WorldStore(tmp_path, base_world.gazetteer)
@@ -113,6 +104,16 @@ class TestPublishAcquire:
         assert other.current_generation() == 1
 
 
+@pytest.fixture()
+def retain(monkeypatch):
+    """Set the store's retention window for one test."""
+
+    def set_retain(n: int) -> None:
+        monkeypatch.setattr(store_mod, "RETAIN", n)
+
+    return set_retain
+
+
 class TestRetention:
     def _publish_chain(self, store, base_world, n: int):
         """Publish base + n successors; returns every world, oldest first."""
@@ -127,27 +128,15 @@ class TestRetention:
             store.publish(worlds[-1])
         return worlds
 
-    def test_old_generations_are_retired(self, base_world, tmp_path):
-        store = WorldStore(tmp_path, base_world.gazetteer, retain=2)
+    def test_old_generations_are_retired(self, base_world, tmp_path, retain):
+        retain(2)
+        store = WorldStore(tmp_path, base_world.gazetteer)
         self._publish_chain(store, base_world, 5)
         assert store.generations_on_disk() == [4, 5]
         assert store.current_generation() == 5
 
-    def test_leased_generation_survives_retention(self, base_world, tmp_path):
-        store = WorldStore(tmp_path, base_world.gazetteer, retain=2)
-        store.publish(base_world)
-        lease = store.acquire()  # pins generation 0
-        worlds = self._publish_chain(store, base_world, 5)
-        assert 0 in store.generations_on_disk()
-        lease.release()
-        # The next publish sweeps the now-unpinned generation.
-        store.publish(
-            apply_delta(worlds[-1], _delta(base_world.gazetteer, seed=999))
-        )
-        assert 0 not in store.generations_on_disk()
-
     def test_label_users_between_unions_metadata(self, base_world, tmp_path):
-        store = WorldStore(tmp_path, base_world.gazetteer, retain=10)
+        store = WorldStore(tmp_path, base_world.gazetteer)
         store.publish(base_world)
         d1 = _delta(base_world.gazetteer, seed=5, labels={"3": 2})
         w1 = apply_delta(base_world, d1)
@@ -164,9 +153,10 @@ class TestRetention:
         assert store.label_users_between(2, 2) == []
 
     def test_label_users_between_none_when_retired(
-        self, base_world, tmp_path
+        self, base_world, tmp_path, retain
     ):
-        store = WorldStore(tmp_path, base_world.gazetteer, retain=2)
+        retain(2)
+        store = WorldStore(tmp_path, base_world.gazetteer)
         self._publish_chain(store, base_world, 5)
         # Generations 0..3 are retired; provenance across them is
         # unknown, so the caller must fall back to a full cache clear.
@@ -193,7 +183,7 @@ class TestWriterLock:
 
 class TestRCUSafety:
     def test_concurrent_publish_and_acquire_never_torn(
-        self, base_world, tmp_path
+        self, base_world, tmp_path, retain
     ):
         """Readers hammering acquire(verify=True) against a live writer.
 
@@ -203,7 +193,8 @@ class TestRCUSafety:
         missing meta) cannot pass.  Retention is set low on purpose so
         readers also race directory retirement.
         """
-        store = WorldStore(tmp_path, base_world.gazetteer, retain=2)
+        retain(2)
+        store = WorldStore(tmp_path, base_world.gazetteer)
         store.publish(base_world)
         stop = threading.Event()
         errors: list[Exception] = []
@@ -223,12 +214,11 @@ class TestRCUSafety:
 
         def reader():
             # A reader-side store handle, as a worker process would own.
-            view = WorldStore(tmp_path, base_world.gazetteer, retain=2)
+            view = WorldStore(tmp_path, base_world.gazetteer)
             try:
                 while not stop.is_set():
-                    lease = view.acquire(verify=True)
-                    assert lease.world.generation == lease.generation
-                    lease.release()
+                    attached = view.acquire(verify=True)
+                    assert attached.world.generation == attached.generation
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -243,34 +233,55 @@ class TestRCUSafety:
         assert store.current_generation() == 12
 
     def test_acquire_retries_through_current_on_retirement(
-        self, base_world, tmp_path, monkeypatch
+        self, base_world, tmp_path, retain
     ):
         """A reader that resolved a manifest just before retirement
         must re-resolve instead of failing."""
-        store = WorldStore(tmp_path, base_world.gazetteer, retain=1)
+        retain(1)
+        store = WorldStore(tmp_path, base_world.gazetteer)
         store.publish(base_world)
         reader = WorldStore(tmp_path, base_world.gazetteer)
         stale = reader.current_manifest()  # warms the stat cache
         assert stale["generation"] == 0
         world = apply_delta(base_world, _delta(base_world.gazetteer, seed=7))
-        store.publish(world)  # retires generation 0 (retain=1)
+        store.publish(world)  # retires generation 0 (RETAIN=1)
         assert store.generations_on_disk() == [1]
-        lease = reader.acquire()
-        try:
-            assert lease.generation == 1
-        finally:
-            lease.release()
+        assert reader.acquire().generation == 1
 
 
 class TestStats:
     def test_stats_shape(self, base_world, tmp_path):
         store = WorldStore(tmp_path, base_world.gazetteer)
         store.publish(base_world)
-        lease = store.acquire()
         stats = store.stats()
+        assert set(stats) == {"directory", "generation", "retain", "on_disk"}
         assert stats["generation"] == 0
         assert stats["on_disk"] == [0]
-        assert stats["leased"] == {0: 1}
-        lease.release()
-        assert store.stats()["leased"] == {}
-        assert json.dumps(store.stats())  # healthz-serializable
+        assert stats["retain"] == store_mod.RETAIN
+        assert json.dumps(stats)  # healthz-serializable
+
+
+class TestWorkerSync:
+    def test_sync_generation_keeps_identity_until_a_publish(
+        self, fitted_result, tmp_path
+    ):
+        """Workers poll with ``sync_generation`` between batches: the
+        attached checkpoint comes back as the very same object until a
+        newer generation is published, then the predictor adopts it."""
+        from repro.serving.foldin import FoldInPredictor
+        from repro.serving.workers import sync_generation
+
+        predictor = FoldInPredictor(fitted_result)
+        base = predictor.world
+        store = WorldStore(tmp_path, base.gazetteer)
+        store.publish(base)
+        current = store.acquire()
+        assert sync_generation(predictor, store, current) is current
+        delta = _delta(base.gazetteer, seed=8, labels={"4": 1})
+        store.publish(
+            apply_delta(base, delta), label_users=delta.label_users.tolist()
+        )
+        newer = sync_generation(predictor, store, current)
+        assert newer is not current and newer.generation == 1
+        assert predictor.world is newer.world
+        assert sync_generation(predictor, store, newer) is newer
